@@ -150,13 +150,14 @@ bench-trace:
 		-benchmem -benchtime 50x .
 
 # bench is the Quick regression gate (CI smoke job): the Figure-3
-# allocation hot path, the wire-codec encode/decode benchmarks, and the
+# allocation hot path, the wire-codec encode/decode benchmarks, the
 # TCP delivery benchmark (the wire-protocol-v2 ratchet: msgs/sec/core
-# and allocs/msg), each min of 3 runs, compared against the latest
-# committed snapshot in bench/. Fails on >20% ns/op or allocs/op
-# regression; writes bench/BENCH_<today>.json on success (snapshots
-# merge by benchmark name, so the three invocations share one file).
-# All three ratchets run with a 50% tolerance: they time micro-scale
+# and allocs/msg), the DHT lookup and routing-table Closest benchmarks,
+# and the simulator's event-queue step, each min of 3-5 runs, compared
+# against the latest committed snapshot in bench/. Fails on >20% ns/op
+# or allocs/op regression; writes bench/BENCH_<today>.json on success
+# (snapshots merge by benchmark name, so the invocations share one
+# file). Every ratchet runs with a 50% tolerance: they time micro-scale
 # operations where shared-runner timer noise exceeds the default 20%
 # (observed min-of-N spread on a 1-core runner), and the regression
 # class they guard against — the compact codec silently degrading to
@@ -169,7 +170,9 @@ bench: bin/p2pbench
 		-regress-count 5 -regress-tolerance 0.5
 	./bin/p2pbench -regress -regress-pkg ./internal/replay -regress-bench 'Deliver/tcp' \
 		-regress-count 5 -regress-tolerance 0.5
-	./bin/p2pbench -regress -regress-pkg ./internal/dht -regress-bench DHTLookup \
+	./bin/p2pbench -regress -regress-pkg ./internal/dht -regress-bench 'DHTLookup|TableClosest' \
+		-regress-count 5 -regress-tolerance 0.5
+	./bin/p2pbench -regress -regress-pkg ./internal/sim -regress-bench EngineStep \
 		-regress-count 5 -regress-tolerance 0.5
 
 # bench-all snapshots every root benchmark (min of 5 runs) plus the
@@ -181,7 +184,9 @@ bench-all: bin/p2pbench
 		-regress-count 5 -regress-tolerance 0.5
 	./bin/p2pbench -regress -regress-pkg ./internal/replay -regress-bench 'Deliver/tcp' \
 		-regress-count 5 -regress-tolerance 0.5
-	./bin/p2pbench -regress -regress-pkg ./internal/dht -regress-bench DHTLookup \
+	./bin/p2pbench -regress -regress-pkg ./internal/dht -regress-bench 'DHTLookup|TableClosest' \
+		-regress-count 5 -regress-tolerance 0.5
+	./bin/p2pbench -regress -regress-pkg ./internal/sim -regress-bench EngineStep \
 		-regress-count 5 -regress-tolerance 0.5
 
 bin/p2pbench: FORCE

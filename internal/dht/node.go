@@ -348,13 +348,20 @@ func (n *Node) resolve(rpc uint64, ids []env.NodeID, values []proto.DHTProvider)
 
 // --- iterative lookup ---
 
-// lookupState values for one candidate.
+// Candidate probe states.
 const (
-	candNew = iota
+	candNew uint8 = iota
 	candInflight
 	candResponded
 	candFailed
 )
+
+// candidate is one shortlist entry: a contact, its distance to the
+// lookup target and its probe state.
+type candidate struct {
+	ranked
+	state uint8
+}
 
 // lookup is one iterative walk: keep the Alpha closest unqueried
 // candidates in flight until the K closest known contacts have all
@@ -367,8 +374,8 @@ type lookup struct {
 	target    proto.DHTKey
 	wantValue bool
 	tc        proto.TraceContext
-	shortlist []env.NodeID // distance order, deduped
-	state     map[env.NodeID]int
+	shortlist []candidate // (distance, NodeID) order, deduped
+	unqueried []ranked    // step's work buffer, reused across steps
 	inflight  int
 	finished  bool
 	done      func([]env.NodeID, []proto.DHTProvider)
@@ -380,7 +387,6 @@ func (n *Node) lookup(target proto.DHTKey, wantValue bool, tc proto.TraceContext
 		target:    target,
 		wantValue: wantValue,
 		tc:        tc,
-		state:     make(map[env.NodeID]int),
 		done:      done,
 	}
 	for _, id := range n.table.Closest(target, n.cfg.K) {
@@ -389,27 +395,41 @@ func (n *Node) lookup(target proto.DHTKey, wantValue bool, tc proto.TraceContext
 	lk.step()
 }
 
+// search returns the position of the first shortlist entry not ordered
+// before r.
+func (lk *lookup) search(r ranked) int {
+	lo, hi := 0, len(lk.shortlist)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lk.shortlist[mid].before(r) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// entry returns the shortlist entry of a candidate already added.
+func (lk *lookup) entry(r ranked) *candidate {
+	return &lk.shortlist[lk.search(r)]
+}
+
 // add inserts a candidate in distance order (ignoring self and known
 // duplicates).
 func (lk *lookup) add(id env.NodeID) {
 	if id == env.NoNode || id == lk.n.ctx.Self() {
 		return
 	}
-	if _, ok := lk.state[id]; ok {
+	key := NodeKey(id)
+	r := ranked{d: xorDist(&key, &lk.target), id: id}
+	at := lk.search(r)
+	if at < len(lk.shortlist) && lk.shortlist[at].id == id {
 		return
 	}
-	lk.state[id] = candNew
-	key := NodeKey(id)
-	at := sort.Search(len(lk.shortlist), func(i int) bool {
-		other := NodeKey(lk.shortlist[i])
-		if other == key {
-			return lk.shortlist[i] >= id
-		}
-		return !CloserTo(lk.target, other, key)
-	})
-	lk.shortlist = append(lk.shortlist, env.NoNode)
+	lk.shortlist = append(lk.shortlist, candidate{})
 	copy(lk.shortlist[at+1:], lk.shortlist[at:])
-	lk.shortlist[at] = id
+	lk.shortlist[at] = candidate{ranked: r, state: candNew}
 }
 
 // step tops the probe window back up to Alpha and detects termination.
@@ -419,27 +439,26 @@ func (lk *lookup) step() {
 	}
 	// Termination scan over the K closest: done when none are unqueried
 	// and none are in flight (failed ones are written off).
-	unqueried := []env.NodeID{}
+	lk.unqueried = lk.unqueried[:0]
 	settled := 0
 	for i := 0; i < len(lk.shortlist) && settled < lk.n.cfg.K; i++ {
-		id := lk.shortlist[i]
-		switch lk.state[id] {
+		switch c := &lk.shortlist[i]; c.state {
 		case candNew:
-			unqueried = append(unqueried, id)
+			lk.unqueried = append(lk.unqueried, c.ranked)
 			settled++
 		case candResponded, candInflight:
 			settled++
 		}
 	}
-	if len(unqueried) == 0 && lk.inflight == 0 {
+	if len(lk.unqueried) == 0 && lk.inflight == 0 {
 		lk.finish(nil)
 		return
 	}
-	for _, id := range unqueried {
+	for _, r := range lk.unqueried {
 		if lk.inflight >= lk.n.cfg.Alpha {
 			break
 		}
-		lk.query(id)
+		lk.query(r)
 	}
 	// A failure can empty the window while unqueried candidates hide
 	// beyond the K horizon; the scan above already widened through
@@ -449,8 +468,8 @@ func (lk *lookup) step() {
 	}
 }
 
-func (lk *lookup) query(id env.NodeID) {
-	lk.state[id] = candInflight
+func (lk *lookup) query(r ranked) {
+	lk.entry(r).state = candInflight
 	lk.inflight++
 	build := func(rpc uint64) env.Message {
 		if lk.wantValue {
@@ -458,14 +477,14 @@ func (lk *lookup) query(id env.NodeID) {
 		}
 		return proto.FindNode{RPC: rpc, Target: lk.target, TC: lk.tc}
 	}
-	lk.n.call(id, build, func(ids []env.NodeID, values []proto.DHTProvider, ok bool) {
+	lk.n.call(r.id, build, func(ids []env.NodeID, values []proto.DHTProvider, ok bool) {
 		lk.inflight--
 		if !ok {
-			lk.state[id] = candFailed
+			lk.entry(r).state = candFailed
 			lk.step()
 			return
 		}
-		lk.state[id] = candResponded
+		lk.entry(r).state = candResponded
 		if lk.wantValue && len(values) > 0 {
 			lk.finish(values)
 			return
@@ -486,9 +505,9 @@ func (lk *lookup) finish(values []proto.DHTProvider) {
 	}
 	lk.finished = true
 	var closest []env.NodeID
-	for _, id := range lk.shortlist {
-		if lk.state[id] == candResponded {
-			closest = append(closest, id)
+	for _, c := range lk.shortlist {
+		if c.state == candResponded {
+			closest = append(closest, c.id)
 			if len(closest) == lk.n.cfg.K {
 				break
 			}

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/env"
@@ -18,6 +19,8 @@ type dhtActor struct {
 	bootstrap []env.NodeID
 	publisher bool
 	node      *Node
+	// seen, when set, observes every delivered message.
+	seen func(from, to env.NodeID, m env.Message)
 }
 
 func (a *dhtActor) Init(ctx env.Context) {
@@ -30,6 +33,9 @@ func (a *dhtActor) Init(ctx env.Context) {
 }
 
 func (a *dhtActor) Receive(from env.NodeID, m env.Message) {
+	if a.seen != nil {
+		a.seen(from, a.node.ctx.Self(), m)
+	}
 	if !a.node.HandleMessage(from, m) {
 		panic(fmt.Sprintf("non-DHT message %T reached dhtActor", m))
 	}
@@ -205,4 +211,39 @@ func TestLookupUnderChurnAndLoss(t *testing.T) {
 		t.Fatal(a)
 	}
 	t.Log(a)
+}
+
+// TestMessageSequenceGolden pins the exact message sequence of a lossy,
+// churned 64-node overlay — every delivery's time, endpoints and full
+// contents, in order — to a digest. Routing-table and lookup internals
+// may change freely, but any change to which RPCs are sent, to whom,
+// when, or with what contact lists shows up here.
+func TestMessageSequenceGolden(t *testing.T) {
+	cfg := testNet()
+	cfg.LossRate = 0.05
+	s := newSwarm(2024, 64, cfg, Config{})
+	h := fnv.New64a()
+	msgs := 0
+	for _, a := range s.actors {
+		a.seen = func(from, to env.NodeID, m env.Message) {
+			msgs++
+			fmt.Fprintf(h, "%d %d>%d %#v\n", s.eng.Now(), from, to, m)
+		}
+	}
+	s.run(30 * sim.Second)
+	key := Key("obj", "golden")
+	s.actors[5].node.Publish(key, proto.DHTProvider{Domain: 1, RM: 5})
+	s.run(5 * sim.Second)
+	for _, id := range []env.NodeID{11, 23, 42} {
+		s.net.Crash(id)
+	}
+	for _, prober := range []int{7, 63, 30} {
+		s.actors[prober].node.LookupProviders(key, proto.TraceContext{}, nil)
+		s.actors[prober].node.LookupNode(Key("obj", "elsewhere"), nil)
+	}
+	s.run(20 * sim.Second)
+	const want = "msgs=9688 digest=0xb85aaad60281154b"
+	if got := fmt.Sprintf("msgs=%d digest=%#x", msgs, h.Sum64()); got != want {
+		t.Fatalf("message sequence changed: %s, want %s", got, want)
+	}
 }

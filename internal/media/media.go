@@ -13,6 +13,7 @@ package media
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -59,9 +60,22 @@ func (f Format) String() string {
 	return fmt.Sprintf("%s %dx%d@%dKbps", f.Codec, f.Width, f.Height, f.BitrateKbps)
 }
 
-// Key returns a stable identifier usable as a map key or Bloom entry.
+// Key returns a stable identifier usable as a map key or Bloom entry,
+// e.g. "MPEG-2/800x600/512".
 func (f Format) Key() string {
-	return fmt.Sprintf("%s/%dx%d/%d", f.Codec, f.Width, f.Height, f.BitrateKbps)
+	var buf [48]byte
+	return string(f.appendKey(buf[:0]))
+}
+
+// appendKey appends f's Key to b.
+func (f Format) appendKey(b []byte) []byte {
+	b = append(b, f.Codec...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(f.Width), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(f.Height), 10)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(f.BitrateKbps), 10)
 }
 
 // Pixels returns the spatial size of a frame.
@@ -144,7 +158,12 @@ type Transcoder struct {
 }
 
 // Key returns a stable service identifier, e.g. for Bloom summaries.
-func (t Transcoder) Key() string { return t.From.Key() + "->" + t.To.Key() }
+func (t Transcoder) Key() string {
+	var buf [96]byte
+	b := t.From.appendKey(buf[:0])
+	b = append(b, "->"...)
+	return string(t.To.appendKey(b))
+}
 
 // String renders e.g. "T(MPEG-2 800x600@512Kbps -> MPEG-4 640x480@64Kbps)".
 func (t Transcoder) String() string { return fmt.Sprintf("T(%s -> %s)", t.From, t.To) }

@@ -1,6 +1,8 @@
 package media
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,6 +24,44 @@ func TestFormatKeyStable(t *testing.T) {
 	c := Format{MPEG4, 640, 480, 128}
 	if a.Key() == c.Key() {
 		t.Fatal("different formats collided")
+	}
+}
+
+// TestKeysMatchSprintfForm pins Format.Key and Transcoder.Key to the
+// fmt.Sprintf form they replaced, byte for byte: the keys feed Bloom
+// summaries and DHT key hashing, so any drift changes discovery.
+func TestKeysMatchSprintfForm(t *testing.T) {
+	formats := []Format{
+		{},
+		{MPEG2, 800, 600, 512},
+		{MPEG4, 640, 480, 64},
+		{H263, 176, 144, 32},
+		{RAW, 1, 1, 1},
+		{"", 0, 0, 0},
+		{"vp9/ü", -1, -20, -300},
+		{"AV1", math.MaxInt32, math.MaxInt, math.MinInt},
+		{"x->y", 1920, 1080, 100000},
+	}
+	oldKey := func(f Format) string {
+		return fmt.Sprintf("%s/%dx%d/%d", f.Codec, f.Width, f.Height, f.BitrateKbps)
+	}
+	for _, f := range formats {
+		if got, want := f.Key(), oldKey(f); got != want {
+			t.Errorf("Format%+v.Key() = %q, want %q", f, got, want)
+		}
+		for _, g := range formats {
+			tr := Transcoder{From: f, To: g}
+			if got, want := tr.Key(), oldKey(f)+"->"+oldKey(g); got != want {
+				t.Errorf("Transcoder.Key() = %q, want %q", got, want)
+			}
+		}
+	}
+	prop := func(codec string, w, h, br int) bool {
+		f := Format{Codec(codec), w, h, br}
+		return f.Key() == oldKey(f)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

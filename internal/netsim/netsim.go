@@ -11,6 +11,7 @@ package netsim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -85,11 +86,19 @@ type Network struct {
 	eng    *sim.Engine
 	r      *rng.Rand
 	cfg    Config
-	nodes  map[env.NodeID]*node
-	next   env.NodeID
+	nodes  []*node // indexed by NodeID; AddNode hands out 0, 1, 2, ...
 	stats  Stats
 	faults map[faultKey]FaultRule
 	faultR *rng.Rand // rolls for installed rules; split lazily so fault-free runs draw identically
+	// perType counts sends by dynamic message type, so accounting a
+	// send formats nothing; Stats folds it into PerType by type name.
+	perType map[reflect.Type]*typeCount
+}
+
+// typeCount is the send count of one dynamic message type.
+type typeCount struct {
+	name string
+	n    uint64
 }
 
 // node is the per-actor runtime state.
@@ -99,16 +108,18 @@ type node struct {
 	actor env.Actor
 	r     *rng.Rand
 	alive bool
+	// delivered counts messages delivered to this node (Stats.PerNode).
+	delivered uint64
 }
 
 // New creates a network on the given engine. r seeds per-node random
 // streams; cfg tunes the link model.
 func New(eng *sim.Engine, r *rng.Rand, cfg Config) *Network {
 	return &Network{
-		eng:   eng,
-		r:     r,
-		cfg:   cfg,
-		nodes: make(map[env.NodeID]*node),
+		eng:     eng,
+		r:       r,
+		cfg:     cfg,
+		perType: make(map[reflect.Type]*typeCount),
 	}
 }
 
@@ -118,13 +129,15 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // Stats returns a copy of the accumulated counters.
 func (n *Network) Stats() Stats {
 	cp := n.stats
-	cp.PerType = make(map[string]uint64, len(n.stats.PerType))
-	for k, v := range n.stats.PerType {
-		cp.PerType[k] = v
+	cp.PerType = make(map[string]uint64, len(n.perType))
+	for _, c := range n.perType {
+		cp.PerType[c.name] += c.n
 	}
-	cp.PerNode = make(map[env.NodeID]uint64, len(n.stats.PerNode))
-	for k, v := range n.stats.PerNode {
-		cp.PerNode[k] = v
+	cp.PerNode = make(map[env.NodeID]uint64)
+	for _, nd := range n.nodes {
+		if nd.delivered > 0 {
+			cp.PerNode[nd.id] = nd.delivered
+		}
 	}
 	return cp
 }
@@ -208,10 +221,9 @@ func (n *Network) lookupFault(from, to env.NodeID) (FaultRule, bool) {
 // AddNode registers an actor, assigns it the next NodeID, and schedules
 // its Init at the current time. It returns the assigned ID.
 func (n *Network) AddNode(a env.Actor) env.NodeID {
-	id := n.next
-	n.next++
+	id := env.NodeID(len(n.nodes))
 	nd := &node{net: n, id: id, actor: a, r: n.r.Split(), alive: true}
-	n.nodes[id] = nd
+	n.nodes = append(n.nodes, nd)
 	n.eng.After(0, func() {
 		if nd.alive {
 			a.Init(nd)
@@ -222,8 +234,8 @@ func (n *Network) AddNode(a env.Actor) env.NodeID {
 
 // Alive reports whether the node exists and has not crashed or stopped.
 func (n *Network) Alive(id env.NodeID) bool {
-	nd, ok := n.nodes[id]
-	return ok && nd.alive
+	nd := n.node(id)
+	return nd != nil && nd.alive
 }
 
 // NumAlive counts live nodes.
@@ -241,7 +253,7 @@ func (n *Network) NumAlive() int {
 // suppressed, and in-flight messages to it are dropped on delivery —
 // modeling §4.1's "peers may disconnect ... due to a failure".
 func (n *Network) Crash(id env.NodeID) {
-	if nd, ok := n.nodes[id]; ok {
+	if nd := n.node(id); nd != nil {
 		nd.alive = false
 	}
 }
@@ -249,8 +261,8 @@ func (n *Network) Crash(id env.NodeID) {
 // Stop shuts a node down gracefully: the actor's Stop hook runs first
 // (letting it send departure notices), then the node goes silent.
 func (n *Network) Stop(id env.NodeID) {
-	nd, ok := n.nodes[id]
-	if !ok || !nd.alive {
+	nd := n.node(id)
+	if nd == nil || !nd.alive {
 		return
 	}
 	nd.actor.Stop()
@@ -259,10 +271,18 @@ func (n *Network) Stop(id env.NodeID) {
 
 // Actor returns the actor registered under id (for test assertions).
 func (n *Network) Actor(id env.NodeID) env.Actor {
-	if nd, ok := n.nodes[id]; ok {
+	if nd := n.node(id); nd != nil {
 		return nd.actor
 	}
 	return nil
+}
+
+// node returns the node registered under id, or nil.
+func (n *Network) node(id env.NodeID) *node {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id]
 }
 
 // deliver routes m from src to dst: the installed fault rule (if any)
@@ -296,10 +316,13 @@ func (n *Network) deliver(src, dst env.NodeID, m env.Message) {
 // accountSend counts one transmission attempt.
 func (n *Network) accountSend(m env.Message) float64 {
 	n.stats.Sent++
-	if n.stats.PerType == nil {
-		n.stats.PerType = make(map[string]uint64)
+	t := reflect.TypeOf(m)
+	c := n.perType[t]
+	if c == nil {
+		c = &typeCount{name: typeName(m)}
+		n.perType[t] = c
 	}
-	n.stats.PerType[typeName(m)]++
+	c.n++
 	var kb float64
 	if s, ok := m.(env.Sized); ok {
 		kb = s.SizeKB()
@@ -331,16 +354,13 @@ func (n *Network) transmit(src, dst env.NodeID, m env.Message, extra sim.Time) {
 		}
 	}
 	n.eng.After(delay, func() {
-		rcv, ok := n.nodes[dst]
-		if !ok || !rcv.alive {
+		rcv := n.node(dst)
+		if rcv == nil || !rcv.alive {
 			n.stats.Dropped++
 			return
 		}
 		n.stats.Delivered++
-		if n.stats.PerNode == nil {
-			n.stats.PerNode = make(map[env.NodeID]uint64)
-		}
-		n.stats.PerNode[dst]++
+		rcv.delivered++
 		rcv.actor.Receive(src, m)
 	})
 }

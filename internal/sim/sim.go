@@ -6,10 +6,7 @@
 // makes runs bit-reproducible given the same seed and schedule.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a virtual timestamp in microseconds since the start of the run.
 type Time int64
@@ -46,41 +43,73 @@ func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 
 // event is one pending callback.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	index int  // heap index, maintained by eventQueue
-	dead  bool // cancelled
+	fn   func()
+	dead bool // cancelled, or already popped off the queue
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
+// slot is one queue entry. The (at, seq) ordering key sits in the heap
+// array itself, so sifting compares without dereferencing any event.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders slots by (at, seq): time first, then scheduling order.
+func (s *slot) before(o *slot) bool {
+	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
+}
+
+// eventQueue is a binary min-heap of slots ordered by (at, seq). It is
+// typed rather than built on container/heap so that nothing is boxed
+// into an interface and the comparison inlines.
+type eventQueue []slot
+
+// push adds s, sifting it up from the end.
+func (q *eventQueue) push(s slot) {
+	h := append(*q, s)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = s
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the earliest slot; the queue must be
+// non-empty. The last slot fills the root's hole and sifts down.
+func (q *eventQueue) pop() slot {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Engine runs events in virtual-time order. It is not safe for concurrent
@@ -112,7 +141,7 @@ type Handle struct{ ev *event }
 // already-cancelled event is a no-op. It reports whether the event was
 // still pending.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.dead || h.ev.index < 0 {
+	if h.ev == nil || h.ev.dead {
 		return false
 	}
 	h.ev.dead = true
@@ -125,9 +154,9 @@ func (e *Engine) At(at Time, fn func()) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
-	ev := &event{at: at, seq: e.seq, fn: fn}
+	ev := &event{fn: fn}
+	e.queue.push(slot{at: at, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return Handle{ev}
 }
 
@@ -182,13 +211,17 @@ func (e *Engine) Halt() { e.halted = true }
 // whether an event ran.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		s := e.queue.pop()
+		ev := s.ev
 		if ev.dead {
 			continue
 		}
-		e.now = ev.at
+		ev.dead = true
+		e.now = s.at
 		e.fired++
-		ev.fn()
+		fn := ev.fn
+		ev.fn = nil // a Handle may outlive the event; don't pin the closure
+		fn()
 		return true
 	}
 	return false
@@ -200,8 +233,8 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.halted = false
 	for !e.halted {
 		// Skip dead events at the head so their timestamps don't gate us.
-		for len(e.queue) > 0 && e.queue[0].dead {
-			heap.Pop(&e.queue)
+		for len(e.queue) > 0 && e.queue[0].ev.dead {
+			e.queue.pop()
 		}
 		if len(e.queue) == 0 || e.queue[0].at > deadline {
 			break
